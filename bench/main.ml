@@ -176,12 +176,13 @@ let kernel_campaign_journal () =
    protocol is identical) sharing one recorded master.  The wall-time
    gap against the domain pool is the service tax: every task costs a
    claim append + re-read + outcome append instead of an in-memory
-   channel push.  The worker count tracks host parallelism: the domain
-   pool's [`Auto] mode resolves [~jobs:N] against the same
-   [recommended_domain_count], so matching it keeps both sides running
-   the same number of executing domains — a fixed count would, on a
-   small host, compare a (sequential) pool against an oversubscribed
-   multi-domain service and measure the scheduler, not the protocol. *)
+   result-slot write.  The worker count tracks host parallelism: the
+   domain pool resolves [~jobs:N] against the same
+   [recommended_domain_count] (one domain when that is 1), so matching
+   it keeps both sides running the same number of executing domains — a
+   fixed count would, on a small host, compare a one-domain pool against
+   an oversubscribed multi-domain service and measure the scheduler, not
+   the protocol. *)
 let service_workers = max 1 (min 4 (Domain.recommended_domain_count ()))
 
 (* Heartbeats default to off in-bench: an in-process worker domain
@@ -503,8 +504,8 @@ let campaign_comparison () =
   let jobs = 4 in
   let parallel_s = time (run_campaign ~jobs) in
   let w, prog = Lazy.force campaign_prepared in
-  (* which path [`Auto] actually chose at this job count on this host
-     (an untimed probe run with a recording sink) *)
+  (* whether the campaign ran on several domains at this job count on
+     this host (an untimed probe run with a recording sink) *)
   let mode =
     let rc = Ldx_obs.Recorder.create () in
     ignore

@@ -96,7 +96,10 @@ let jobs =
   Arg.(value & opt int 1
        & info [ "jobs"; "j" ] ~docv:"N"
          ~doc:"Fan campaign slave passes (attribution, strategy sweeps) \
-               out over $(docv) domains.  Results are identical to a \
+               out over up to $(docv) domains.  A campaign whose master \
+               pass runs fewer than about 20k steps, or a host with one \
+               core, uses one domain: shorter passes lose more to domain \
+               start-up than they gain.  Results are identical to a \
                sequential run.")
 
 let final_state =

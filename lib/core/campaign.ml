@@ -7,9 +7,9 @@
    runs: [Engine.master_pass] never reads the slave-only configuration
    fields (sources, strategy, slave_seed, record_trace), and a
    [master_out] is a frozen, replayable outcome log.  A campaign
-   therefore pays ONE master pass and fans the K slave passes out —
-   sequentially, or across an OCaml 5 domain pool with a bounded work
-   queue.
+   therefore pays ONE master pass and fans the K slave passes out over
+   the calling domain plus, when the passes are long enough to pay for
+   them, more OCaml 5 domains sharing a bounded work queue.
 
    Determinism: each slave pass builds its own machine, OS and cursors
    from immutable inputs (the program, the world description, the frozen
@@ -18,8 +18,8 @@
    the property suite).
 
    Durability: [?journal] persists a manifest (configuration
-   fingerprint + task list) and appends each outcome as the calling
-   domain collects it, through [Ldx_store.Store]'s checksummed
+   fingerprint + task list) and appends each outcome as soon as its
+   task finishes, through [Ldx_store.Store]'s checksummed
    append-only format; [resume] replays journaled outcomes verbatim and
    runs only the tasks that never made it to disk.  Outcome payloads
    are [Marshal]ed [Engine.result]s (plain data, no closures), guarded
@@ -170,22 +170,32 @@ let to_hex (s : string) : string =
     Buffer.contents b
   end
 
+(* Accepts exactly what [to_hex] writes: "-" or lowercase hex pairs.
+   [int_of_string] would also take an underscore ("0x5_" is 5),
+   decoding a corrupt payload instead of rejecting it. *)
 let of_hex (s : string) : string option =
+  let nibble c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | _ -> raise Exit
+  in
   if s = "-" then Some ""
-  else if String.length s mod 2 <> 0 then None
+  else if s = "" || String.length s mod 2 <> 0 then None
   else
     try
       Some
         (String.init
            (String.length s / 2)
-           (fun i -> Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2))))
-    with _ -> None
+           (fun i ->
+              Char.chr ((nibble s.[2 * i] lsl 4) lor nibble s.[(2 * i) + 1])))
+    with Exit -> None
 
 (* [Engine.result] is plain data (records, variants, strings, ints —
    audited: no closures anywhere under it), so [Marshal] round-trips it
    exactly; replaying a journaled outcome is verbatim, which is what
    makes interrupted-then-resumed renders byte-identical. *)
-let encode_status (s : status) (attempts : int) : string =
+let encode_outcome (s : status) (attempts : int) : string =
   let res tag (r : Engine.result) =
     Printf.sprintf "%s %d %s" tag attempts (to_hex (Marshal.to_string r []))
   in
@@ -199,7 +209,7 @@ let encode_status (s : status) (attempts : int) : string =
   | Crashed { exn; backtrace } -> dead "crash" exn backtrace
   | Quarantined { exn; backtrace } -> dead "quarantine" exn backtrace
 
-let decode_status (payload : string) : (status * int) option =
+let decode_outcome (payload : string) : (status * int) option =
   let result h k =
     match of_hex h with
     | None -> None
@@ -227,10 +237,6 @@ let decode_status (payload : string) : (status * int) option =
         | _ -> None)
       | _ -> None)
   | _ -> None
-
-(* the service worker protocol moves these across process boundaries *)
-let encode_outcome = encode_status
-let decode_outcome = decode_status
 
 (* The configuration fingerprint a journal stores and [resume] checks.
    Slave params, faults and scheduler specs are plain data (audited, as
@@ -364,7 +370,7 @@ let wall_cycles_of (s : status) : int =
    marker before the first attempt and a [Task_timing] after the last,
    carrying the wall-clock queue-wait ([t0] = fan-out start) vs
    run-time split and the deterministic virtual wall.  With no sink
-   this is exactly [run_task] — no clock reads on the lean path. *)
+   this is exactly [run_task], with no clock reads. *)
 let run_task_telemetry ~retry ?deadline ?obs ~runner ~index ~t0
     (config : Engine.config) (prog : Ir.program) (world : World.t)
     (mo : Engine.master_out) (p : slave_params) : status * int =
@@ -389,57 +395,91 @@ let eta_cycles ~completed ~total ~cycles_done =
   if completed <= 0 then 0
   else cycles_done / completed * (total - completed)
 
-(* ---------- parallel fan-out ---------- *)
+(* ---------- the fan-out ---------- *)
 
 (* Below roughly this many master-pass steps, a slave pass is so short
    that [Domain.spawn]/[Domain.join] overhead and the contended work
-   queue dominate — the parallel path measures SLOWER than sequential
-   (observed 0.70x at jobs=4 on small workloads).  [`Auto] mode falls
-   back to sequential under this break-even. *)
+   queue dominate — extra domains measure SLOWER than one (observed
+   0.70x at jobs=4 on small workloads), so such campaigns run on the
+   calling domain alone. *)
 let domain_break_even = 20_000
 
-(* Fan the missing tasks out over [jobs] domains (the calling domain
-   participates).  The work queue is a bounded atomic cursor over the
-   index array, but domains claim contiguous CHUNKS of ~k/(4*jobs)
-   tasks per fetch-and-add rather than single indexes: the contended
-   atomic is touched ~4 times per domain instead of once per task,
-   while the 4x over-decomposition keeps late-stage load balance when
-   task costs are uneven.  Each result slot is written by exactly one
-   domain and read only after the joins, which gives the necessary
-   happens-before edges.  [run_task] never raises, and the joins are
-   under [Fun.protect], so no domain can be leaked even if a worker or
-   the calling domain dies unexpectedly.
+(* Run the tasks at [idxs] on [w] domains: the calling domain and
+   [w - 1] spawned ones.  The work queue is a bounded atomic cursor
+   over the index array, but domains claim contiguous CHUNKS of
+   ~k/(4*w) tasks per fetch-and-add rather than single indexes: the
+   contended atomic is touched ~4 times per domain instead of once per
+   task, while the 4x over-decomposition keeps late-stage load balance
+   when task costs are uneven.
 
-   This lean path carries no sink and no journal; when either is
-   present [run_collected] is used instead. *)
-let run_parallel ~retry ?deadline ~runner ~jobs ~stop (config : Engine.config)
-    (prog : Ir.program) (world : World.t) (mo : Engine.master_out)
-    (tasks : slave_params array) (idxs : int array)
+   Each finished task is posted under one mutex, which fills its
+   result slot, appends its outcome to the journal write-through (a
+   kill at any point loses at most the in-flight tasks) and emits a
+   [Campaign_progress] heartbeat — so the sink and the store are only
+   ever touched by one domain at a time.  With [w > 1] every task gets
+   a PRIVATE buffered sink (an event list needs no domain safety),
+   drained into the real sink in task order after the joins; with
+   [w = 1] the real sink is threaded straight through.  [run_task]
+   never raises, and the joins are under [Fun.protect], so no domain
+   can be leaked even if a worker or the calling domain dies
+   unexpectedly. *)
+let fan_out ~retry ?deadline ?obs ~runner ~w ~journal ~stop
+    (config : Engine.config) (prog : Ir.program) (world : World.t)
+    (mo : Engine.master_out) (tasks : slave_params array) (idxs : int array)
     (results : (status * int) option array) : unit =
   let k = Array.length idxs in
-  let chunk = max 1 ((k + (4 * jobs) - 1) / (4 * jobs)) in
+  let chunk = max 1 ((k + (4 * w) - 1) / (4 * w)) in
   let next = Atomic.make 0 in
-  let worker () =
-    let rec loop () =
-      (* drain check between chunk claims: [stop] must be domain-safe
-         (it reads a flag a signal handler sets) *)
-      if stop () then ()
-      else
-        let lo = Atomic.fetch_and_add next chunk in
-        if lo < k then begin
-          let hi = min k (lo + chunk) in
-          let j = ref lo in
-          while !j < hi && not (stop ()) do
-            let i = idxs.(!j) in
-            results.(i) <-
-              Some (run_task ~retry ?deadline ~runner config prog world mo
-                      tasks.(i));
-            incr j
-          done;
-          loop ()
-        end
+  let mu = Mutex.create () in
+  let completed = ref 0 and cycles_done = ref 0 in
+  let buffered = w > 1 && obs <> None in
+  let events : Obs.Event.t list array = Array.make (Array.length tasks) [] in
+  let t0 = now_us () in
+  let post i (s, a) evs =
+    Mutex.protect mu @@ fun () ->
+    results.(i) <- Some (s, a);
+    events.(i) <- evs;
+    Option.iter (fun t -> Store.append t i (encode_outcome s a)) journal;
+    (* liveness, not determinism: heartbeats arrive in completion order
+       and are excluded from traces/goldens *)
+    incr completed;
+    cycles_done := !cycles_done + wall_cycles_of s;
+    Obs.Sink.emit_opt obs
+      (Obs.Event.Campaign_progress
+         { completed = !completed;
+           total = k;
+           cycles_done = !cycles_done;
+           eta_cycles =
+             eta_cycles ~completed:!completed ~total:k
+               ~cycles_done:!cycles_done })
+  in
+  let run_one i =
+    let buf = ref [] in
+    let task_obs =
+      if buffered then Some (Obs.Sink.of_fn (fun ev -> buf := ev :: !buf))
+      else obs
     in
-    loop ()
+    let sa =
+      run_task_telemetry ~retry ?deadline ?obs:task_obs ~runner ~index:i ~t0
+        config prog world mo tasks.(i)
+    in
+    post i sa (List.rev !buf)
+  in
+  (* drain check between tasks: the in-flight task always finishes;
+     [stop] must be domain-safe (it reads a flag a signal handler sets) *)
+  let rec worker () =
+    if not (stop ()) then begin
+      let lo = Atomic.fetch_and_add next chunk in
+      if lo < k then begin
+        let hi = min k (lo + chunk) in
+        let j = ref lo in
+        while !j < hi && not (stop ()) do
+          run_one idxs.(!j);
+          incr j
+        done;
+        worker ()
+      end
+    end
   in
   (* backtrace recording is per-domain: without propagating the calling
      domain's setting, a [Crashed] outcome would carry a backtrace or
@@ -447,7 +487,7 @@ let run_parallel ~retry ?deadline ~runner ~jobs ~stop (config : Engine.config)
      run-to-run nondeterminism in campaign output *)
   let record_bt = Printexc.backtrace_status () in
   let spawned =
-    Array.init (min jobs k - 1) (fun _ ->
+    Array.init (w - 1) (fun _ ->
         Domain.spawn (fun () ->
             Printexc.record_backtrace record_bt;
             worker ()))
@@ -464,125 +504,10 @@ let run_parallel ~retry ?deadline ~runner ~jobs ~stop (config : Engine.config)
            with e -> if !first_exn = None then first_exn := Some e)
         spawned;
       match !first_exn with Some e -> raise e | None -> ())
-    worker
-
-(* Parallel fan-out with a collecting domain: used whenever a sink or a
-   journal is present.  Worker domains run tasks with a PRIVATE
-   buffered sink each (an event list needs no domain safety) and post
-   (index, status, attempts, events) to a queue; the calling domain
-   collects, appending each outcome to the journal write-through AS IT
-   ARRIVES — so a kill at any point loses at most the in-flight tasks —
-   and, after the joins, drains the event buffers into the real sink in
-   task order.  Workers never touch the sink or the store. *)
-let run_collected ~retry ?deadline ?obs ~runner ~jobs ~journal ~t0 ~stop
-    (config : Engine.config) (prog : Ir.program) (world : World.t)
-    (mo : Engine.master_out) (tasks : slave_params array) (idxs : int array)
-    (results : (status * int) option array) : unit =
-  let k = Array.length idxs in
-  let w = max 1 (min jobs k) in
-  let chunk = max 1 ((k + (4 * w) - 1) / (4 * w)) in
-  let next = Atomic.make 0 in
-  let q = Queue.create () in
-  let mu = Mutex.create () in
-  let cond = Condition.create () in
-  let send msg =
-    Mutex.lock mu;
-    Queue.add msg q;
-    Condition.signal cond;
-    Mutex.unlock mu
-  in
-  let recv () =
-    Mutex.lock mu;
-    while Queue.is_empty q do Condition.wait cond mu done;
-    let msg = Queue.pop q in
-    Mutex.unlock mu;
-    msg
-  in
-  let buffered = obs <> None in
-  let worker () =
-    let rec loop () =
-      (* drain check between tasks: the in-flight task always finishes *)
-      if stop () then ()
-      else
-        let lo = Atomic.fetch_and_add next chunk in
-        if lo < k then begin
-          let hi = min k (lo + chunk) in
-          let j = ref lo in
-          while !j < hi && not (stop ()) do
-            let i = idxs.(!j) in
-            let buf = ref [] in
-            let task_obs =
-              if buffered then
-                Some (Obs.Sink.of_fn (fun ev -> buf := ev :: !buf))
-              else None
-            in
-            let s, a =
-              run_task_telemetry ~retry ?deadline ?obs:task_obs ~runner
-                ~index:i ~t0 config prog world mo tasks.(i)
-            in
-            send (`Result (i, s, a, List.rev !buf));
-            incr j
-          done;
-          loop ()
-        end
-    in
-    (* a worker that dies outside the per-task containment must still
-       announce itself, or the collector would wait forever *)
-    (match loop () with
-     | () -> send (`Exit None)
-     | exception e -> send (`Exit (Some e)))
-  in
-  let record_bt = Printexc.backtrace_status () in
-  let spawned =
-    Array.init w (fun _ ->
-        Domain.spawn (fun () ->
-            Printexc.record_backtrace record_bt;
-            worker ()))
-  in
-  let events : Obs.Event.t list array = Array.make (Array.length tasks) [] in
-  let worker_exn = ref None in
-  Fun.protect
-    ~finally:(fun () ->
-      let first_exn = ref None in
-      Array.iter
-        (fun d ->
-           try Domain.join d
-           with e -> if !first_exn = None then first_exn := Some e)
-        spawned;
-      match !first_exn with Some e -> raise e | None -> ())
-    (fun () ->
-       let exited = ref 0 in
-       let completed = ref 0 in
-       let cycles_done = ref 0 in
-       while !exited < w do
-         match recv () with
-         | `Result (i, s, a, evs) ->
-           results.(i) <- Some (s, a);
-           events.(i) <- evs;
-           Option.iter (fun t -> Store.append t i (encode_status s a)) journal;
-           (* live heartbeat from the collecting domain, in arrival
-              order (liveness, not determinism: progress events are
-              excluded from traces/goldens) *)
-           incr completed;
-           cycles_done := !cycles_done + wall_cycles_of s;
-           Obs.Sink.emit_opt obs
-             (Obs.Event.Campaign_progress
-                { completed = !completed;
-                  total = k;
-                  cycles_done = !cycles_done;
-                  eta_cycles =
-                    eta_cycles ~completed:!completed ~total:k
-                      ~cycles_done:!cycles_done })
-         | `Exit e ->
-           incr exited;
-           (match e with
-            | Some e when !worker_exn = None -> worker_exn := Some e
-            | _ -> ())
-       done);
-  (* satellite invariant: every slave-pass event reaches the sink, in
-     task order, from this (the collecting) domain *)
-  Array.iter (fun evs -> List.iter (Obs.Sink.emit_opt obs) evs) events;
-  match !worker_exn with Some e -> raise e | None -> ()
+    worker;
+  (* every slave-pass event reaches the sink, in task order, from the
+     calling domain *)
+  if buffered then Array.iter (List.iter (Obs.Sink.emit_opt obs)) events
 
 (* ---------- the campaign ---------- *)
 
@@ -640,7 +565,7 @@ let incremental_runner ?obs (config : Engine.config) (prog : Ir.program)
       else default_runner ?obs cfg prog world mo
   | exception _ -> default_runner
 
-let run_impl ~jobs ~mode ~obs ~retry ~deadline ~runner ~journal ~stop ~sync
+let run_impl ~jobs ~obs ~retry ~deadline ~runner ~journal ~stop ~sync
     ~incremental
     ~(pre : (int * (status * int)) list) ~(pre_raw : (int * string) list)
     ~(config : Engine.config) (prog : Ir.program) (world : World.t)
@@ -694,64 +619,28 @@ let run_impl ~jobs ~mode ~obs ~retry ~deadline ~runner ~journal ~stop ~sync
        else runner
      in
      let nmiss = List.length missing in
-     (* mode resolution.  [`Auto] goes parallel only when it can
-        plausibly win: more than one job AND missing task, a host with
-        more than one recommended domain, and slave passes long enough
-        (estimated by the master pass's step count — a slave pass
-        replays the same program) to amortise domain spawn/join
-        overhead. *)
-     let parallel =
-       jobs > 1 && nmiss > 1
-       && (match mode with
-           | `Sequential -> false
-           | `Parallel -> true
-           | `Auto ->
-             Domain.recommended_domain_count () > 1
-             && mo.Engine.msummary.Engine.steps >= domain_break_even)
+     (* the domain count: more than one only when it can plausibly win —
+        more than one job AND missing task, a host with more than one
+        recommended domain, and slave passes long enough (estimated by
+        the master pass's step count — a slave pass replays the same
+        program) to amortise domain spawn/join overhead *)
+     let w =
+       if
+         jobs > 1 && nmiss > 1
+         && Domain.recommended_domain_count () > 1
+         && mo.Engine.msummary.Engine.steps >= domain_break_even
+       then min jobs nmiss
+       else 1
      in
      Obs.Sink.emit_opt obs
        (Obs.Event.Campaign_plan
-          { mode = (if parallel then "parallel" else "sequential");
-            jobs = (if parallel then jobs else 1);
+          { mode = (if w > 1 then "parallel" else "sequential");
+            jobs = w;
             tasks = nmiss;
             est_steps = mo.Engine.msummary.Engine.steps });
      let idxs = Array.of_list missing in
-     let t0 = now_us () in
-     if not parallel then begin
-       let completed = ref 0 in
-       let cycles_done = ref 0 in
-       let drained = ref false in
-       Array.iter
-         (fun i ->
-            (* drain check between tasks: the in-flight task finishes,
-               its outcome is journaled, and we exit the loop *)
-            if !drained || stop () then drained := true
-            else begin
-              let s, a =
-                run_task_telemetry ~retry ?deadline ?obs ~runner ~index:i ~t0
-                  config prog world mo tasks.(i)
-              in
-              results.(i) <- Some (s, a);
-              Option.iter (fun t -> Store.append t i (encode_status s a)) store;
-              incr completed;
-              cycles_done := !cycles_done + wall_cycles_of s;
-              Obs.Sink.emit_opt obs
-                (Obs.Event.Campaign_progress
-                   { completed = !completed;
-                     total = nmiss;
-                     cycles_done = !cycles_done;
-                     eta_cycles =
-                       eta_cycles ~completed:!completed ~total:nmiss
-                         ~cycles_done:!cycles_done })
-            end)
-         idxs
-     end
-     else if obs = None && store = None then
-       run_parallel ~retry ?deadline ~runner ~jobs ~stop config prog world mo
-         tasks idxs results
-     else
-       run_collected ~retry ?deadline ?obs ~runner ~jobs ~journal:store ~t0
-         ~stop config prog world mo tasks idxs results;
+     fan_out ~retry ?deadline ?obs ~runner ~w ~journal:store ~stop config prog
+       world mo tasks idxs results;
      Array.iter (fun i -> fresh.(i) <- true) idxs
    end);
   let drained = stop () in
@@ -778,7 +667,7 @@ let run_impl ~jobs ~mode ~obs ~retry ~deadline ~runner ~journal ~stop ~sync
                 attempts = 0 })
          tasks)
   in
-  (* task fates are emitted from the calling domain, after collection,
+  (* task fates are emitted from the calling domain, after the joins,
      so the sink never sees concurrent emissions; [Quarantine] fires
      only for freshly-parked tasks (replayed ones announced it in the
      run that journaled them).  Tasks a drain never ran emit nothing —
@@ -807,14 +696,14 @@ let run_impl ~jobs ~mode ~obs ~retry ~deadline ~runner ~journal ~stop ~sync
 
 let never_stop () = false
 
-let run ?(jobs = 1) ?(mode = `Auto) ?obs ?(retry = no_retries) ?deadline
+let run ?(jobs = 1) ?obs ?(retry = no_retries) ?deadline
     ?runner ?journal ?(stop = never_stop) ?(sync = false)
     ?(incremental = false) ~(config : Engine.config) (prog : Ir.program)
     (world : World.t) (params : slave_params list) : outcome list =
-  run_impl ~jobs ~mode ~obs ~retry ~deadline ~runner ~journal ~stop ~sync
+  run_impl ~jobs ~obs ~retry ~deadline ~runner ~journal ~stop ~sync
     ~incremental ~pre:[] ~pre_raw:[] ~config prog world params
 
-let resume ?(jobs = 1) ?(mode = `Auto) ?obs ?(retry = no_retries) ?deadline
+let resume ?(jobs = 1) ?obs ?(retry = no_retries) ?deadline
     ?runner ~journal ?(stop = never_stop) ?(sync = false)
     ?(incremental = false) ~(config : Engine.config) (prog : Ir.program)
     (world : World.t) (params : slave_params list) :
@@ -838,7 +727,7 @@ let resume ?(jobs = 1) ?(mode = `Auto) ?obs ?(retry = no_retries) ?deadline
           (fun (raw, dec) (i, payload) ->
              if i < 0 || i >= n then (raw, dec)
              else
-               match decode_status payload with
+               match decode_outcome payload with
                | Some sa -> ((i, payload) :: raw, (i, sa) :: dec)
                | None -> (raw, dec))
           ([], []) loaded.Store.l_outcomes
@@ -852,7 +741,7 @@ let resume ?(jobs = 1) ?(mode = `Auto) ?obs ?(retry = no_retries) ?deadline
              rerun = n - List.length pre;
              torn = loaded.Store.l_torn });
       Ok
-        (run_impl ~jobs ~mode ~obs ~retry ~deadline ~runner
+        (run_impl ~jobs ~obs ~retry ~deadline ~runner
            ~journal:(Some journal) ~stop ~sync ~incremental ~pre ~pre_raw
            ~config prog world params)
     end

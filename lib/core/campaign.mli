@@ -131,32 +131,32 @@ val no_retries : retry_policy
 (** How a task turns a config into a result; defaults to
     {!Engine.run_with_master}.  Overridable for fault-tolerance tests
     (inject a raising runner) and custom replay pipelines.  [?obs] is
-    the task-private sink the parallel path threads through
-    (see {!run}); custom runners may ignore it. *)
+    the task's sink — task-private when several domains run the
+    campaign (see {!run}); custom runners may ignore it. *)
 type runner =
   ?obs:Ldx_obs.Sink.t ->
   Engine.config -> Ldx_cfg.Ir.program -> Ldx_osim.World.t ->
   Engine.master_out -> Engine.result
 
-(** [run ~jobs ?mode ?obs ?retry ?deadline ?runner ?journal ~config
+(** [run ~jobs ?obs ?retry ?deadline ?runner ?journal ~config
     prog world params] records one master pass under [config]'s
     master-side fields, then runs one slave pass per task under
-    per-task exception containment.  Parallel execution fans tasks out
-    over a domain pool claiming chunked ranges off a shared atomic
-    cursor, every domain always joined ([Fun.protect]) even on
-    unexpected worker death.  Outcomes are returned in task order
-    either way, with identical statuses (a property-suite invariant).
+    per-task exception containment.  Tasks are claimed in chunked
+    ranges off a shared atomic cursor by [w] domains — the calling
+    domain plus [w - 1] spawned ones, every one always joined
+    ([Fun.protect]) even on unexpected worker death.  Outcomes are
+    returned in task order with identical statuses at every [w] (a
+    property-suite invariant).
 
-    [?mode] selects the execution path.  The default [`Auto] goes
-    parallel only when [jobs > 1], there is more than one task, the
-    host reports more than one recommended domain, {e and} the master
-    pass ran at least ~20k steps (shorter slave passes lose more to
-    domain spawn/join than they gain — the measured 0.70x "speedup" of
-    small parallel campaigns); otherwise it runs sequentially in the
-    calling domain.  [`Sequential] and [`Parallel] force their path
-    (subject to [jobs]/task count).  The decision is emitted as a
-    [Campaign_plan] event and lands in the [campaign.mode.<mode>]
-    metrics counter.
+    [w] is [min jobs tasks] when [jobs > 1], more than one task is to
+    run, the host reports more than one recommended domain, {e and}
+    the master pass ran at least 20k steps;
+    otherwise [w = 1] and every task runs on the calling domain.
+    Shorter slave passes lose more to domain spawn/join than they gain
+    (the measured 0.70x "speedup" of small parallel campaigns).  [w]
+    is emitted as the [jobs] of a [Campaign_plan] event (mode
+    ["parallel"] when [w > 1], else ["sequential"]) and lands in the
+    [campaign.mode.<mode>] and [campaign.jobs] metrics.
 
     [?deadline] bounds each {e task} (not the campaign) to that many
     VM steps per slave pass, re-using the engine's in-quantum fuel
@@ -167,21 +167,22 @@ type runner =
     [?journal] opens a durable journal at that path: the campaign
     manifest (configuration fingerprint, program/world hashes, task
     list) is checkpointed via atomic rename before any task runs, and
-    each task's outcome is appended — checksummed and flushed — as the
-    collecting domain receives it.  A campaign killed at any point
+    each task's outcome is appended — checksummed and flushed — as
+    soon as the task finishes.  A campaign killed at any point
     resumes via {!resume}.
 
     [?obs] observes the master pass (bracketed in [Master_run] phase
-    events) and every slave pass: sequentially by direct threading; in
-    parallel, each task gets a {e private buffered sink} and the
-    collecting domain drains the buffers in task order after the
-    joins, so the sink needs no domain safety and still sees every
-    slave-pass event.  Task fates are emitted as [Task_done] (and
-    [Quarantine]) events from the collecting domain, per task, in
-    task order.
+    events) and every slave pass: at [w = 1] by direct threading; at
+    [w > 1] each task gets a {e private buffered sink} and the calling
+    domain drains the buffers in task order after the joins.  The
+    heartbeats and journal appends that happen while tasks run are
+    serialised by one mutex, so the sink needs no domain safety and
+    still sees every slave-pass event.  Task fates are emitted as
+    [Task_done] (and [Quarantine]) events from the calling domain, per
+    task, in task order.
 
-    [?stop] is the graceful-drain hook: it is polled between tasks (in
-    every execution path — it must be domain-safe, e.g. read a flag a
+    [?stop] is the graceful-drain hook: it is polled between tasks (by
+    every domain — it must be domain-safe, e.g. read a flag a
     signal handler sets) and once it returns [true] no further task is
     {e started}; in-flight tasks finish and are journaled.  Outcomes of
     tasks a drain never ran come back as [Crashed] with exn
@@ -208,7 +209,7 @@ type runner =
     (jittered seeds change the snapshot fingerprint), or a prefix that
     fails to reach a decouple point. *)
 val run :
-  ?jobs:int -> ?mode:[ `Auto | `Sequential | `Parallel ] ->
+  ?jobs:int ->
   ?obs:Ldx_obs.Sink.t -> ?retry:retry_policy -> ?deadline:int ->
   ?runner:runner -> ?journal:string ->
   ?stop:(unit -> bool) -> ?sync:bool -> ?incremental:bool ->
@@ -239,7 +240,7 @@ val run :
     fingerprint — a journal written by a full campaign resumes
     incrementally (and vice versa) to a byte-identical table. *)
 val resume :
-  ?jobs:int -> ?mode:[ `Auto | `Sequential | `Parallel ] ->
+  ?jobs:int ->
   ?obs:Ldx_obs.Sink.t -> ?retry:retry_policy -> ?deadline:int ->
   ?runner:runner -> journal:string ->
   ?stop:(unit -> bool) -> ?sync:bool -> ?incremental:bool ->

@@ -293,24 +293,30 @@ let campaign_params config =
   Campaign.of_strategies config Mutation.all_strategies
   @ Campaign.of_seeds config [ 1; 2 ]
 
+(* The attribution program padded past the domain break-even, so that
+   jobs > 1 really runs on several domains. *)
+let padded_attribution = lazy (Padded.of_source attribution_src)
+
 let test_campaign_parallel_matches_sequential () =
-  let prog = instrumented attribution_src in
+  let prog = Lazy.force padded_attribution in
   let config = attribution_config in
   let params = campaign_params config in
   let seq = Campaign.run ~jobs:1 ~config prog attribution_world params in
-  (* [`Parallel] forces the domain-pool path even on hosts where [`Auto]
-     would (correctly) fall back to sequential — this test is about the
-     parallel path's determinism, not the mode heuristic *)
-  let par =
-    Campaign.run ~jobs:4 ~mode:`Parallel ~config prog attribution_world params
-  in
-  check int "same number of outcomes" (List.length seq) (List.length par);
-  List.iter2
-    (fun (a : Campaign.outcome) (b : Campaign.outcome) ->
-       check bool "parallel outcome byte-identical to sequential" true
-         (a.Campaign.params = b.Campaign.params
-          && a.Campaign.status = b.Campaign.status))
-    seq par
+  let obs, planned = Padded.plan_sink () in
+  let par = Campaign.run ~jobs:4 ~obs ~config prog attribution_world params in
+  Padded.check_fanned_out ~jobs:4 (planned ());
+  (* and with no sink, where tasks carry no private buffers *)
+  let bare = Campaign.run ~jobs:4 ~config prog attribution_world params in
+  List.iter
+    (fun par ->
+       check int "same number of outcomes" (List.length seq) (List.length par);
+       List.iter2
+         (fun (a : Campaign.outcome) (b : Campaign.outcome) ->
+            check bool "parallel outcome byte-identical to sequential" true
+              (a.Campaign.params = b.Campaign.params
+               && a.Campaign.status = b.Campaign.status))
+         seq par)
+    [ par; bare ]
 
 (* ------------------------------------------------------------------ *)
 (* Crash containment and retries.                                      *)
@@ -341,17 +347,19 @@ let crash_params config =
    results a clean campaign produces) for every sibling — under both
    jobs=1 and jobs=4, byte-identical across repeated runs. *)
 let test_campaign_crash_contained () =
-  let prog = instrumented attribution_src in
+  let prog = Lazy.force padded_attribution in
   let config = net_cfg [ Engine.source ~sys:"recv" () ] in
   let params = crash_params config in
-  let run jobs =
-    Campaign.run ~jobs ~mode:`Parallel ~runner:crashing_runner ~config prog
+  let run ?obs jobs =
+    Campaign.run ~jobs ?obs ~runner:crashing_runner ~config prog
       attribution_world params
   in
   let statuses outs = List.map (fun o -> o.Campaign.status) outs in
   List.iter
     (fun jobs ->
-       let outs = run jobs in
+       let obs, planned = Padded.plan_sink () in
+       let outs = run ~obs jobs in
+       Padded.check_fanned_out ~jobs (planned ());
        (match statuses outs with
         | [ Campaign.Ok _; Campaign.Crashed { exn; _ }; Campaign.Ok _ ] ->
           check bool "exception recorded" true (String.length exn > 0)
@@ -568,20 +576,21 @@ let test_campaign_quarantine () =
 (* ------------------------------------------------------------------ *)
 (* Parallel observability: per-task buffered sinks.                    *)
 
-(* jobs=4 with a plain (non-domain-safe) closure sink: the collecting
+(* jobs=4 with a plain (non-domain-safe) closure sink: the calling
    domain drains each task's private buffer in task order, so the sink
    sees one Master_run phase, every slave pass, and Task_done per task
    in task order — without any synchronization of its own. *)
 let test_campaign_parallel_obs_order () =
-  let prog = instrumented attribution_src in
+  let prog = Lazy.force padded_attribution in
   let config = net_cfg [ Engine.source ~sys:"recv" () ] in
   let params = campaign_params config in
   let events = ref [] in
-  let obs = Obs.Sink.of_fn (fun e -> events := e :: !events) in
-  let outs =
-    Campaign.run ~jobs:4 ~mode:`Parallel ~obs ~config prog attribution_world
-      params
+  let plan, planned = Padded.plan_sink () in
+  let obs =
+    Obs.Sink.tee [ Obs.Sink.of_fn (fun e -> events := e :: !events); plan ]
   in
+  let outs = Campaign.run ~jobs:4 ~obs ~config prog attribution_world params in
+  Padded.check_fanned_out ~jobs:4 (planned ());
   check bool "all tasks completed" true
     (List.for_all
        (fun o -> match o.Campaign.status with Campaign.Ok _ -> true | _ -> false)
@@ -603,6 +612,39 @@ let test_campaign_parallel_obs_order () =
   in
   check bool "Task_done per task, in task order" true
     (labels = List.map (fun (p : Campaign.slave_params) -> p.Campaign.label) params)
+
+(* ------------------------------------------------------------------ *)
+(* Outcome codec.                                                      *)
+
+(* Every status round-trips through its journal payload, and hex that is
+   not exactly the lowercase pairs the encoder writes is rejected —
+   [int_of_string] takes an underscore, so "5_" used to decode as the
+   byte 0x05, and an empty field (the encoder writes "-") as "". *)
+let test_outcome_codec () =
+  let prog = instrumented attribution_src in
+  let config = net_cfg [ Engine.source ~sys:"recv" () ] in
+  let r = Engine.run ~config prog attribution_world in
+  List.iter
+    (fun s ->
+       List.iter
+         (fun attempts ->
+            check bool
+              (Printf.sprintf "%s/%d round-trips" (Campaign.status_class s)
+                 attempts)
+              true
+              (Campaign.decode_outcome (Campaign.encode_outcome s attempts)
+               = Some (s, attempts)))
+         [ 1; 3 ])
+    [ Campaign.Ok r;
+      Campaign.Fuel_exhausted r;
+      Campaign.Timed_out r;
+      Campaign.Crashed { exn = "Failure(\"boom\")"; backtrace = "" };
+      Campaign.Quarantined { exn = ""; backtrace = "Raised at x" } ];
+  List.iter
+    (fun payload ->
+       check bool (Printf.sprintf "%S rejected" payload) true
+         (Campaign.decode_outcome payload = None))
+    [ "crash 1 5_ -"; "crash 1 abc -"; "crash 1  -" ]
 
 (* ------------------------------------------------------------------ *)
 (* Journaled campaigns: checkpoint, resume, kill-anywhere recovery.    *)
@@ -716,17 +758,19 @@ let test_campaign_drain_and_resume () =
     Alcotest.(check string) "resume completes the drained campaign"
       reference (Campaign.render outs')
 
-(* The parallel paths honour [stop] too — and never invent outcomes for
-   tasks the drain skipped. *)
+(* A campaign on several domains honours [stop] too — and never invents
+   outcomes for tasks the drain skipped. *)
 let test_campaign_drain_parallel () =
-  let prog = instrumented attribution_src in
+  let prog = Lazy.force padded_attribution in
   let config = attribution_config in
   let params = campaign_params config in
+  let obs, planned = Padded.plan_sink () in
   let outs =
-    Campaign.run ~jobs:4 ~mode:`Parallel
+    Campaign.run ~jobs:4 ~obs
       ~stop:(fun () -> true)
       ~config prog attribution_world params
   in
+  Padded.check_fanned_out ~jobs:4 (planned ());
   check bool "an immediate stop drains every task" true
     (List.for_all
        (fun (o : Campaign.outcome) ->
@@ -743,17 +787,17 @@ let qcheck_world =
 (* Over random structured programs: a jobs=4 campaign across all
    mutation strategies is byte-identical to the sequential campaign. *)
 let prop_campaign_deterministic (p : Ldx_lang.Ast.program) =
-  let prog, _ = Counter.instrument (Lower.lower_program p) in
+  let prog = Padded.program p in
   let config = Engine.default_config in
   let params = Campaign.of_strategies config Mutation.all_strategies in
   let seq = Campaign.run ~jobs:1 ~config prog qcheck_world params in
-  let par =
-    Campaign.run ~jobs:4 ~mode:`Parallel ~config prog qcheck_world params
-  in
-  List.for_all2
-    (fun (a : Campaign.outcome) (b : Campaign.outcome) ->
-       a.Campaign.status = b.Campaign.status)
-    seq par
+  let obs, planned = Padded.plan_sink () in
+  let par = Campaign.run ~jobs:4 ~obs ~config prog qcheck_world params in
+  Padded.fanned_out (planned ())
+  && List.for_all2
+       (fun (a : Campaign.outcome) (b : Campaign.outcome) ->
+          a.Campaign.status = b.Campaign.status)
+       seq par
 
 (* Kill-anywhere durability (over random structured programs): journal
    a campaign, then simulate a crash by truncating the journal at EVERY
@@ -762,7 +806,7 @@ let prop_campaign_deterministic (p : Ldx_lang.Ast.program) =
    uninterrupted campaign.  (Cuts inside the manifest are out of scope:
    the manifest is only ever published by an atomic rename.) *)
 let prop_resume_truncated (p : Ldx_lang.Ast.program) =
-  let prog, _ = Counter.instrument (Lower.lower_program p) in
+  let prog = Padded.program p in
   let config = Engine.default_config in
   let params =
     Campaign.of_strategies config
@@ -803,14 +847,25 @@ let prop_resume_truncated (p : Ldx_lang.Ast.program) =
          (fun jobs ->
             with_journal @@ fun cut_path ->
             write_file cut_path (String.sub text 0 cut);
-            let mode = if jobs > 1 then `Parallel else `Sequential in
+            let rerun = ref 0 in
+            let plan, planned = Padded.plan_sink () in
+            let obs =
+              Obs.Sink.tee
+                [ Obs.Sink.of_fn (function
+                    | Obs.Event.Resume { rerun = r; _ } -> rerun := r
+                    | _ -> ());
+                  plan ]
+            in
             match
-              Campaign.resume ~jobs ~mode ~journal:cut_path ~config prog
+              Campaign.resume ~jobs ~obs ~journal:cut_path ~config prog
                 qcheck_world params
             with
             | Error e ->
               QCheck2.Test.fail_reportf "cut at %d, jobs=%d: %s" cut jobs e
-            | Ok outs -> Campaign.render outs = reference)
+            | Ok outs ->
+              (* two or more re-run tasks are what can fan out *)
+              (jobs = 1 || !rerun < 2 || Padded.fanned_out (planned ()))
+              && Campaign.render outs = reference)
          [ 1; 4 ])
     cuts
 
@@ -856,6 +911,8 @@ let tests =
       test_campaign_quarantine;
     Alcotest.test_case "parallel sink buffered, drained in task order"
       `Quick test_campaign_parallel_obs_order;
+    Alcotest.test_case "outcome codec round-trips, rejects non-hex" `Quick
+      test_outcome_codec;
     Alcotest.test_case "resume of a complete journal replays verbatim"
       `Quick test_campaign_resume_complete;
     Alcotest.test_case "resume rejects a fingerprint mismatch" `Quick

@@ -303,7 +303,8 @@ let test_campaign_trace_golden () =
 (* A real fan-out: the rendered trace is byte-identical at jobs=1 and
    jobs=4 once the (intentionally different) Campaign_plan instant is
    normalized — task lanes drain in task order regardless of worker
-   interleaving, heartbeats stay out. *)
+   interleaving, heartbeats stay out.  The program is padded past the
+   domain break-even so that jobs=4 really runs on several domains. *)
 let fig2_src =
   {| fn main() {
        let sock = socket("hr");
@@ -341,11 +342,7 @@ let replace_all ~sub ~by s =
   Buffer.contents b
 
 let campaign_trace ~jobs =
-  let prog =
-    fst
-      (Ldx_instrument.Counter.instrument
-         (Ldx_cfg.Lower.lower_source fig2_src))
-  in
+  let prog = Padded.of_source fig2_src in
   let params =
     Campaign.of_strategies fig2_config Mutation.all_strategies
   in
@@ -354,9 +351,12 @@ let campaign_trace ~jobs =
     ~finally:(fun () -> try Sys.remove journal with Sys_error _ -> ())
   @@ fun () ->
   let rc = Obs.Recorder.create () in
+  let plan, planned = Padded.plan_sink () in
   ignore
-    (Campaign.run ~jobs ~obs:(Obs.Recorder.sink rc) ~journal
-       ~config:fig2_config prog fig2_world params);
+    (Campaign.run ~jobs
+       ~obs:(Obs.Sink.tee [ Obs.Recorder.sink rc; plan ])
+       ~journal ~config:fig2_config prog fig2_world params);
+  Padded.check_fanned_out ~jobs (planned ());
   (* the temp journal path is the one run-specific string in the trace *)
   ( replace_all ~sub:journal ~by:"JOURNAL"
       (Obs.Chrome_trace.to_string (Obs.Recorder.events rc)),

@@ -317,13 +317,20 @@ let camp_prog =
 
 let camp_params () = Campaign.of_strategies camp_config Mutation.all_strategies
 
+(* Padded past the domain break-even, so that jobs=4 really runs on
+   several domains. *)
 let test_incremental_identity () =
-  let prog = Lazy.force camp_prog in
+  let prog = Padded.of_source camp_src in
   let params = camp_params () in
   let table incremental jobs =
-    Campaign.render
-      (Campaign.run ~jobs ~incremental ~config:camp_config prog camp_world
-         params)
+    let obs, planned = Padded.plan_sink () in
+    let t =
+      Campaign.render
+        (Campaign.run ~jobs ~obs ~incremental ~config:camp_config prog
+           camp_world params)
+    in
+    Padded.check_fanned_out ~jobs (planned ());
+    t
   in
   let full = table false 1 in
   check string "incremental table at jobs=1" full (table true 1);
