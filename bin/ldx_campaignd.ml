@@ -61,9 +61,12 @@ let respawn_backoff_ms =
 let kill_after_outcomes =
   Arg.(value & opt (some int) None
        & info [ "kill-after-outcomes" ] ~docv:"N"
-         ~doc:"Crash-injection hook for CI: SIGKILL one worker once the \
-               journal holds $(docv) outcomes, then let supervision \
-               recover it.")
+         ~doc:"Crash-injection hook for CI: every first-generation \
+               worker SIGKILLs itself as it starts its task attempt \
+               number $(docv)+1, holding that task's lease (ldx_worker \
+               --crash-after-tasks); supervision must recover the \
+               fleet.  With more than $(docv) tasks per worker at least \
+               one worker dies, whatever the timing.")
 
 let worker_exe_arg =
   Arg.(value & opt (some string) None
@@ -103,12 +106,16 @@ let main queue workers max_kills ttl_ms heartbeat_ms poll_ms
     let spawn slot_id gen =
       let owner = Printf.sprintf "w%d.%d.p%d" slot_id gen my_pid in
       let argv =
-        Array.append
-          [| exe; "--queue"; queue; "--owner"; owner;
-             "--ttl-ms"; string_of_int ttl_ms;
-             "--heartbeat-ms"; string_of_int heartbeat_ms;
-             "--poll-ms"; string_of_int poll_ms |]
-          spec_argv
+        Array.concat
+          [ [| exe; "--queue"; queue; "--owner"; owner;
+               "--ttl-ms"; string_of_int ttl_ms;
+               "--heartbeat-ms"; string_of_int heartbeat_ms;
+               "--poll-ms"; string_of_int poll_ms |];
+            (match kill_after_outcomes with
+             | Some n when gen = 0 ->
+               [| "--crash-after-tasks"; string_of_int n |]
+             | _ -> [||]);
+            spec_argv ]
       in
       let pid =
         Unix.create_process exe argv Unix.stdin Unix.stdout Unix.stderr
@@ -126,7 +133,6 @@ let main queue workers max_kills ttl_ms heartbeat_ms poll_ms
     let request_drain _ = Atomic.set draining true in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle request_drain);
     Sys.set_signal Sys.sigint (Sys.Signal_handle request_drain);
-    let kill_hook_fired = ref false in
     let escalate () =
       match Campaign.Service.escalate ~sync ~path:queue ~kills:max_kills () with
       | Ok 0 | Error _ -> ()
@@ -143,8 +149,12 @@ let main queue workers max_kills ttl_ms heartbeat_ms poll_ms
       | Unix.WSIGNALED s -> (Printf.sprintf "signal %d" s, false)
       | Unix.WSTOPPED s -> (Printf.sprintf "stopped %d" s, false)
     in
+    (* the supervisor's one view of the journal: each poll folds only
+       what the fleet appended since the previous one *)
+    let journal = Q.cursor ~path:queue in
+    let load () = Result.map (fun () -> Q.view journal) (Q.refresh journal) in
     let complete () =
-      match Q.load ~path:queue with
+      match load () with
       | Ok v -> Q.is_complete v
       | Error _ -> false
     in
@@ -210,35 +220,17 @@ let main queue workers max_kills ttl_ms heartbeat_ms poll_ms
            | _ -> ())
         v.Q.states
     in
-    let test_kill_hook v =
-      match kill_after_outcomes with
-      | Some n when not !kill_hook_fired ->
-        let outcomes = Array.length v.Q.states - Q.remaining v in
-        if outcomes >= n then begin
-          (match Array.find_opt (fun s -> s.live) slots with
-           | Some s ->
-             kill_hook_fired := true;
-             Printf.eprintf
-               "ldx_campaignd: test hook: SIGKILL worker %s (pid %d) after \
-                %d outcomes\n%!"
-               s.owner s.pid outcomes;
-             (try Unix.kill s.pid Sys.sigkill with _ -> ())
-           | None -> ())
-        end
-      | _ -> ()
-    in
     let rec supervise () =
       if Atomic.get draining then `Drain
       else begin
         reap_and_respawn ();
-        match Q.load ~path:queue with
+        match load () with
         | Error e ->
           Printf.eprintf "ldx_campaignd: %s\n%!" e;
           `Error e
         | Ok v ->
           if Q.is_complete v then `Complete
           else begin
-            test_kill_hook v;
             kill_hung (Q.now_us ()) v;
             if not (Array.exists (fun s -> s.live) slots) then begin
               (* whole fleet gone and the queue is not finished: respawn

@@ -47,7 +47,14 @@ let poll_ms =
        & info [ "poll-ms" ] ~docv:"MS"
          ~doc:"Sleep between queue polls when nothing is claimable.")
 
-let main queue owner ttl_ms heartbeat_ms poll_ms spec =
+let crash_after_tasks =
+  Arg.(value & opt (some int) None
+       & info [ "crash-after-tasks" ] ~docv:"N"
+         ~doc:"Crash-injection hook for CI: SIGKILL this process as it \
+               starts task attempt number $(docv)+1 (retries count), \
+               while it holds that task's lease.")
+
+let main queue owner ttl_ms heartbeat_ms poll_ms crash_after_tasks spec =
   let owner =
     match owner with Some o -> o | None -> Printf.sprintf "w%d" (Unix.getpid ())
   in
@@ -65,10 +72,20 @@ let main queue owner ttl_ms heartbeat_ms poll_ms spec =
     in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle (request_drain "SIGTERM"));
     Sys.set_signal Sys.sigint (Sys.Signal_handle (request_drain "SIGINT"));
+    let runner =
+      Option.map
+        (fun n ->
+           let started = ref 0 in
+           fun ?obs cfg prog world mo ->
+             incr started;
+             if !started > n then Unix.kill (Unix.getpid ()) Sys.sigkill;
+             Ldx_core.Engine.run_with_master ?obs cfg prog world mo)
+        crash_after_tasks
+    in
     (match
        Campaign.Service.worker
          ~stop:(fun () -> Atomic.get draining)
-         ~sync:spec.Service_common.sync ?retry:c.Service_common.retry
+         ?runner ~sync:spec.Service_common.sync ?retry:c.Service_common.retry
          ?deadline:c.Service_common.deadline ~path:queue ~owner
          ~ttl_us:(ttl_ms * 1000) ~heartbeat_us:(heartbeat_ms * 1000)
          ~poll_us:(poll_ms * 1000) ~config:c.Service_common.config
@@ -91,6 +108,6 @@ let cmd =
     Term.(
       ret
         (const main $ queue_arg $ owner_arg $ ttl_ms $ heartbeat_ms $ poll_ms
-         $ Service_common.term))
+         $ crash_after_tasks $ Service_common.term))
 
 let () = exit (Cmd.eval cmd)

@@ -162,34 +162,11 @@ let default_runner : runner =
 (* Outcome payloads are hex so they survive the store's line format
    unscathed; "-" stands for the empty string (hex of "" would vanish
    between the separators). *)
-let to_hex (s : string) : string =
-  if s = "" then "-"
-  else begin
-    let b = Buffer.create (2 * String.length s) in
-    String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-    Buffer.contents b
-  end
+let to_hex (s : string) : string = if s = "" then "-" else Store.to_hex s
 
-(* Accepts exactly what [to_hex] writes: "-" or lowercase hex pairs.
-   [int_of_string] would also take an underscore ("0x5_" is 5),
-   decoding a corrupt payload instead of rejecting it. *)
+(* Accepts exactly what [to_hex] writes: "-" or lowercase hex pairs. *)
 let of_hex (s : string) : string option =
-  let nibble c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | _ -> raise Exit
-  in
-  if s = "-" then Some ""
-  else if s = "" || String.length s mod 2 <> 0 then None
-  else
-    try
-      Some
-        (String.init
-           (String.length s / 2)
-           (fun i ->
-              Char.chr ((nibble s.[2 * i] lsl 4) lor nibble s.[(2 * i) + 1])))
-    with Exit -> None
+  if s = "-" then Some "" else if s = "" then None else Store.of_hex s
 
 (* [Engine.result] is plain data (records, variants, strings, ints —
    audited: no closures anywhere under it), so [Marshal] round-trips it

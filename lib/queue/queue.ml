@@ -4,7 +4,10 @@
    - arbitration is structural, not temporal: the fold accepts the
      FIRST record for a given (index, epoch) and ignores later ones, so
      whoever's write(2) landed first owns the lease — claimants verify
-     by re-reading after they append;
+     by refreshing their cursor after they append;
+   - the fold takes one entry at a time, so a cursor folds only the
+     records appended since its last refresh: a claim costs the new
+     bytes, not the journal;
    - the fold is clock-free: expiry is judged only by claimants, at
      claim time, against the effective deadline the fold computed —
      so every process reading the file derives the identical view;
@@ -30,76 +33,120 @@ type view = {
 
 let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
 
-let view_of (l : Store.loaded) : view =
-  let n = List.length l.Store.l_manifest.Store.tasks in
-  let states = Array.make n (Free { next_epoch = 0 }) in
-  let expired = Array.make n [] in
-  (* owner -> latest heartbeat deadline; deadlines only move forward *)
-  let heartbeats : (string, int) Hashtbl.t = Hashtbl.create 7 in
-  List.iter
-    (fun (e : Store.entry) ->
-       match e with
-       | Store.Outcome { index; payload } ->
-         if index >= 0 && index < n then
-           (match states.(index) with
-            | Done _ -> ()     (* first outcome wins; duplicates ignored *)
-            | Free _ | Leased _ -> states.(index) <- Done { payload })
-       | Store.Lease { index; owner; epoch; deadline_us } ->
-         if index >= 0 && index < n then
-           (match states.(index) with
-            | Done _ -> ()
-            | Free { next_epoch } when epoch = next_epoch ->
-              states.(index) <- Leased { holder = owner; epoch; deadline_us }
-            | Free _ -> ()     (* stale epoch: lost race *)
-            | Leased cur when epoch = cur.epoch + 1 ->
-              (* reclaim of an expired lease — the claimant checked the
-                 clock before appending; here we only arbitrate.  The
-                 previous holder is charged with an expiry (it did not
-                 release), which is what quarantine escalation counts. *)
-              if not (List.mem cur.holder expired.(index)) then
-                expired.(index) <- cur.holder :: expired.(index);
-              states.(index) <- Leased { holder = owner; epoch; deadline_us }
-            | Leased _ -> ())
-       | Store.Heartbeat { owner; deadline_us } ->
-         let prev =
-           Option.value (Hashtbl.find_opt heartbeats owner) ~default:min_int
-         in
-         if deadline_us > prev then Hashtbl.replace heartbeats owner deadline_us
-       | Store.Release { index; owner; epoch } ->
-         if index >= 0 && index < n then
-           (match states.(index) with
-            | Leased cur when cur.holder = owner && cur.epoch = epoch ->
-              states.(index) <- Free { next_epoch = epoch + 1 }
-            | _ -> ()))
-    l.Store.l_entries;
-  (* fold heartbeats into effective deadlines: a lease is as alive as
-     its holder's latest heartbeat *)
-  Array.iteri
-    (fun i st ->
-       match st with
-       | Leased cur ->
-         (match Hashtbl.find_opt heartbeats cur.holder with
-          | Some d when d > cur.deadline_us ->
-            states.(i) <- Leased { cur with deadline_us = d }
-          | _ -> ())
-       | Free _ | Done _ -> ())
-    states;
-  { manifest = l.Store.l_manifest;
-    states;
-    expired_owners = Array.map List.rev expired;
-    torn = l.Store.l_torn }
+(* The fold over journal entries, in file order.  Lease deadlines are
+   kept as claimed; heartbeats are applied when a state is looked at
+   ([effective]), so the fold can take one entry at a time. *)
+type fold = {
+  states : task_state array;
+  expired : string list array;  (* per task, newest charge first *)
+  heartbeats : (string, int) Hashtbl.t;
+      (* owner -> latest heartbeat deadline; deadlines only move forward *)
+}
+
+let empty_fold n =
+  { states = Array.make n (Free { next_epoch = 0 });
+    expired = Array.make n [];
+    heartbeats = Hashtbl.create 7 }
+
+(* The one fold step: every arbitration rule lives here.  Applying the
+   same entry twice in a row changes nothing the first application did
+   not (a won lease or a release moves the epoch on, an outcome is
+   final, a heartbeat is a max) — a cursor relies on this for an
+   unterminated last line, which it folds now and again once the line
+   is whole. *)
+let step f (e : Store.entry) =
+  let n = Array.length f.states in
+  match e with
+  | Store.Outcome { index; payload } ->
+    if index >= 0 && index < n then
+      (match f.states.(index) with
+       | Done _ -> ()     (* first outcome wins; duplicates ignored *)
+       | Free _ | Leased _ -> f.states.(index) <- Done { payload })
+  | Store.Lease { index; owner; epoch; deadline_us } ->
+    if index >= 0 && index < n then
+      (match f.states.(index) with
+       | Done _ -> ()
+       | Free { next_epoch } when epoch = next_epoch ->
+         f.states.(index) <- Leased { holder = owner; epoch; deadline_us }
+       | Free _ -> ()     (* stale epoch: lost race *)
+       | Leased cur when epoch = cur.epoch + 1 ->
+         (* reclaim of an expired lease — the claimant checked the
+            clock before appending; here we only arbitrate.  The
+            previous holder is charged with an expiry (it did not
+            release), which is what quarantine escalation counts. *)
+         if not (List.mem cur.holder f.expired.(index)) then
+           f.expired.(index) <- cur.holder :: f.expired.(index);
+         f.states.(index) <- Leased { holder = owner; epoch; deadline_us }
+       | Leased _ -> ())
+  | Store.Heartbeat { owner; deadline_us } ->
+    let prev =
+      Option.value (Hashtbl.find_opt f.heartbeats owner) ~default:min_int
+    in
+    if deadline_us > prev then Hashtbl.replace f.heartbeats owner deadline_us
+  | Store.Release { index; owner; epoch } ->
+    if index >= 0 && index < n then
+      (match f.states.(index) with
+       | Leased cur when cur.holder = owner && cur.epoch = epoch ->
+         f.states.(index) <- Free { next_epoch = epoch + 1 }
+       | _ -> ())
+
+(* a lease is as alive as its holder's latest heartbeat *)
+let effective f st =
+  match st with
+  | Leased cur ->
+    (match Hashtbl.find_opt f.heartbeats cur.holder with
+     | Some d when d > cur.deadline_us -> Leased { cur with deadline_us = d }
+     | _ -> st)
+  | Free _ | Done _ -> st
+
+(* -------------------------------------------------------------------- *)
+(* Cursors *)
+
+type cursor = {
+  path : string;
+  reader : Store.reader;
+  mutable fold : fold;
+  mutable manifest : Store.manifest;
+  mutable torn : int;
+}
+
+let cursor ~path =
+  { path; reader = Store.reader ~path; fold = empty_fold 0;
+    manifest = { Store.fingerprint = ""; meta = []; tasks = [] };
+    torn = 0 }
+
+let refresh c =
+  Result.map
+    (fun (d : Store.delta) ->
+       if d.Store.d_reset then
+         c.fold <- empty_fold (List.length d.Store.d_manifest.Store.tasks);
+       List.iter (step c.fold) d.Store.d_entries;
+       (* the next read consumes this line again, whole: harmless, see
+          [step] *)
+       Option.iter (step c.fold) d.Store.d_tail;
+       c.manifest <- d.Store.d_manifest;
+       c.torn <- d.Store.d_torn)
+    (Store.read c.reader)
+
+let view c =
+  let f = c.fold in
+  { manifest = c.manifest;
+    states = Array.map (effective f) f.states;
+    expired_owners = Array.map List.rev f.expired;
+    torn = c.torn }
 
 let load ~path =
-  Result.map view_of (Store.load ~path)
+  let c = cursor ~path in
+  Result.map (fun () -> view c) (refresh c)
 
-let remaining v =
-  Array.fold_left
-    (fun acc st -> match st with Done _ -> acc | _ -> acc + 1)
-    0 v.states
+let is_done = function Done _ -> true | Free _ | Leased _ -> false
 
-let is_complete v = remaining v = 0
+let remaining (v : view) =
+  Array.fold_left (fun acc st -> if is_done st then acc else acc + 1) 0 v.states
 
-let outcomes v =
+let is_complete (v : view) = Array.for_all is_done v.states
+
+let outcomes (v : view) =
   Array.to_list v.states
   |> List.mapi (fun i st -> (i, st))
   |> List.filter_map (fun (i, st) ->
@@ -137,12 +184,12 @@ type claim_result =
   | Drained
 
 (* first Free-or-expired task, with the epoch a claim must carry *)
-let pick_claimable v ~now_us =
-  let n = Array.length v.states in
+let pick_claimable f ~now_us =
+  let n = Array.length f.states in
   let rec go i =
     if i >= n then None
     else
-      match v.states.(i) with
+      match effective f f.states.(i) with
       | Free { next_epoch } -> Some (i, next_epoch, None)
       | Leased { holder; epoch; deadline_us } when now_us > deadline_us ->
         Some (i, epoch + 1, Some holder)
@@ -150,24 +197,29 @@ let pick_claimable v ~now_us =
   in
   go 0
 
-let claim ~path ~owner ~now_us ~ttl_us ?(sync = false) () =
+(* refresh → pick → append lease → refresh → verify, on one cursor *)
+let claim_at c ~owner ~now_us ~ttl_us ~sync =
   let ( let* ) = Result.bind in
-  let rec go view =
-    match pick_claimable view ~now_us with
-    | None -> Ok (if is_complete view then Drained else Wait)
+  let rec go () =
+    match pick_claimable c.fold ~now_us with
+    | None ->
+      Ok (if Array.for_all is_done c.fold.states then Drained else Wait)
     | Some (index, epoch, reclaimed_from) ->
-      append ~path ~sync
+      append ~path:c.path ~sync
         (Store.Lease { index; owner; epoch; deadline_us = now_us + ttl_us });
-      (* never trust the pre-append read: the fold over the re-read
-         file is the arbiter *)
-      let* view = load ~path in
-      (match view.states.(index) with
+      (* never trust the pre-append read: the fold over the file as it
+         now stands is the arbiter *)
+      let* () = refresh c in
+      (match c.fold.states.(index) with
        | Leased { holder; epoch = e; _ } when holder = owner && e = epoch ->
          Ok (Claimed { index; epoch; reclaimed_from })
-       | _ -> go view (* lost the race; try the next claimable task *))
+       | _ -> go () (* lost the race; try the next claimable task *))
   in
-  let* view = load ~path in
-  go view
+  let* () = refresh c in
+  go ()
+
+let claim ~path ~owner ~now_us ~ttl_us ?(sync = false) () =
+  claim_at (cursor ~path) ~owner ~now_us ~ttl_us ~sync
 
 let heartbeat ~path ~owner ~deadline_us ?(sync = false) () =
   append ~path ~sync (Store.Heartbeat { owner; deadline_us })
@@ -238,13 +290,14 @@ module Worker = struct
              Unix.close wr)
           hb)
     @@ fun () ->
+    let c = cursor ~path in
     let rec loop () =
       if stop () then begin
         emit (Obs.Event.Worker_event { owner; kind = "drain" });
         Drained
       end
       else
-        match claim ~path ~owner ~now_us:(now_us ()) ~ttl_us ~sync () with
+        match claim_at c ~owner ~now_us:(now_us ()) ~ttl_us ~sync with
         | Error e -> failwith e
         | Ok Wait ->
           sleep_us poll_us;

@@ -4,10 +4,10 @@
     The queue is nothing but the store file itself: every claim,
     heartbeat, release and outcome is one checksummed record appended
     with a single [write(2)] on an [O_APPEND] descriptor, and the
-    queue's state is a deterministic fold ({!view_of}) over the journal
-    in file order.  There is no coordinator process and no lock file —
-    POSIX's guarantee that [O_APPEND] writes on a regular file are
-    serialized is the only synchronization primitive.
+    queue's state is a deterministic fold over the journal in file
+    order, one entry at a time.  There is no coordinator process and
+    no lock file — POSIX's guarantee that [O_APPEND] writes on a
+    regular file are serialized is the only synchronization primitive.
 
     {2 Lease state machine}
 
@@ -39,9 +39,12 @@
       is what makes "exactly once" hold even when a lease was wrongly
       reclaimed from a slow-but-alive worker.
 
-    Claimants never trust their pre-append read: {!claim} appends the
-    lease record, re-reads the file, and reports victory only if the
-    fold says so.
+    Claimants never trust their pre-append read: {!claim} refreshes its
+    {!cursor}, picks a task, appends the lease record, refreshes again,
+    and reports victory only if the fold says so.  A refresh reads only
+    the bytes appended since the cursor's previous one, so a claim
+    costs O(records appended since the last claim) — the worker's own
+    outcome and lease, plus whatever its peers wrote — not O(journal).
 
     {2 Expiry and heartbeats}
 
@@ -73,11 +76,32 @@ type view = {
   torn : int;                     (** damaged records skipped on load *)
 }
 
-(** Fold a loaded store into the queue state (pure; clock-free). *)
-val view_of : Ldx_store.Store.loaded -> view
+(** {1 Cursors}
 
-(** [load ~path] = read + {!view_of}.  [Error] on unreadable files or
-    manifest damage, like [Store.load]. *)
+    A cursor keeps the folded view of one journal and, on each
+    {!refresh}, folds only the records appended since the previous one
+    (through {!Ldx_store.Store.read}).  Folding a prefix and then its
+    suffix equals folding the whole file, so a cursor's view always
+    equals {!load}'s on the same bytes: an unterminated last line
+    counts as {!load} counts it, but is re-read once its newline lands,
+    and a replaced file (a checkpoint's atomic rename) or a shorter one
+    is folded again from byte 0.
+
+    A cursor is mutable: one per domain, never shared between domains. *)
+
+type cursor
+
+(** A cursor over [path] that has read nothing yet. *)
+val cursor : path:string -> cursor
+
+(** Fold in what was appended since the previous refresh.  [Error] on
+    unreadable files or manifest damage, like [Store.load]. *)
+val refresh : cursor -> (unit, string) result
+
+(** The state as of the last {!refresh}. *)
+val view : cursor -> view
+
+(** [load ~path] = a fresh {!cursor} and one {!refresh}. *)
 val load : path:string -> (view, string) result
 
 val remaining : view -> int   (** tasks not yet [Done] *)
@@ -111,9 +135,11 @@ type claim_result =
 
 (** [claim ~path ~owner ~now_us ~ttl_us ()] tries to win a lease on the
     first [Free]-or-expired task: append a claim with deadline
-    [now_us + ttl_us], re-read, and loop (a lost race moves on to the
+    [now_us + ttl_us], refresh, and loop (a lost race moves on to the
     next claimable task) until a claim sticks or nothing is claimable.
-    A lease is expired once [now_us > deadline_us] (strict). *)
+    A lease is expired once [now_us > deadline_us] (strict).  It runs
+    on a fresh cursor, so it reads the whole journal; {!Worker.run}
+    keeps one cursor for its whole loop instead. *)
 val claim :
   path:string ->
   owner:string ->
@@ -153,6 +179,10 @@ module Worker : sig
       [heartbeat_us] extending this owner's leases by [ttl_us]
       (disabled when [heartbeat_us <= 0]; the heartbeat domain always
       uses the real clock).  [Wait] sleeps [poll_us] between polls.
+
+      Every claim goes through one {!cursor} held for the whole loop,
+      so a claim reads only the records appended since the previous
+      one.  The heartbeat domain only appends; it never reads.
 
       [now_us]/[sleep_us] exist for deterministic tests; production
       callers take the defaults (real clock / [Unix.sleepf]).

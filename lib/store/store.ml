@@ -9,19 +9,61 @@ let header_v2 = "ldx-store/2"
 
 (* FNV-1a 64-bit: tiny, dependency-free, and plenty for torn-write
    detection — the threat model is a half-written line after a crash,
-   not an adversary forging collisions. *)
+   not an adversary forging collisions.  A plain [for] loop keeps the
+   accumulator unboxed (a [ref] captured by a [String.iter] closure
+   boxes an [Int64] per byte). *)
 let fnv64 (s : string) : int64 =
-  let offset_basis = 0xcbf29ce484222325L in
-  let prime = 0x100000001b3L in
-  let h = ref offset_basis in
-  String.iter
-    (fun c ->
-       h := Int64.logxor !h (Int64.of_int (Char.code c));
-       h := Int64.mul !h prime)
-    s;
+  let h = ref 0xcbf29ce484222325L in
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
   !h
 
-let hash_hex s = Printf.sprintf "%016Lx" (fnv64 s)
+let hex_digits = "0123456789abcdef"
+
+let hash_hex s =
+  let h = fnv64 s in
+  Bytes.init 16 (fun i ->
+      hex_digits.[Int64.to_int (Int64.shift_right_logical h (60 - (4 * i)))
+                  land 15])
+  |> Bytes.unsafe_to_string
+
+let to_hex (s : string) : string =
+  let n = String.length s in
+  let b = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    Bytes.unsafe_set b (2 * i) (String.unsafe_get hex_digits (c lsr 4));
+    Bytes.unsafe_set b ((2 * i) + 1) (String.unsafe_get hex_digits (c land 15))
+  done;
+  Bytes.unsafe_to_string b
+
+let of_hex (s : string) : string option =
+  let nibble c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | _ -> -1
+  in
+  let n = String.length s in
+  if n mod 2 <> 0 then None
+  else begin
+    let b = Bytes.create (n / 2) in
+    let rec go i =
+      if i >= n / 2 then Some (Bytes.unsafe_to_string b)
+      else
+        let hi = nibble s.[2 * i] and lo = nibble s.[(2 * i) + 1] in
+        if hi < 0 || lo < 0 then None
+        else begin
+          Bytes.unsafe_set b i (Char.unsafe_chr ((hi lsl 4) lor lo));
+          go (i + 1)
+        end
+    in
+    go 0
+  end
 
 (* Length-prefixing keeps part boundaries significant, so moving bytes
    between adjacent parts always changes the digest. *)
@@ -32,11 +74,16 @@ let fingerprint (parts : string list) : string =
 
 let escape = String.escaped
 
+(* [Scanf.unescaped] walks its input a byte at a time through a scanning
+   buffer; a string with no backslash and no double quote has nothing
+   to unescape (and nothing it would reject), so it is returned as is. *)
 let unescape (s : string) : (string, string) result =
-  match Scanf.unescaped s with
-  | v -> Ok v
-  | exception Scanf.Scan_failure m -> Error ("bad escape: " ^ m)
-  | exception Failure m -> Error ("bad escape: " ^ m)
+  if not (String.exists (fun c -> c = '\\' || c = '"') s) then Ok s
+  else
+    match Scanf.unescaped s with
+    | v -> Ok v
+    | exception Scanf.Scan_failure m -> Error ("bad escape: " ^ m)
+    | exception Failure m -> Error ("bad escape: " ^ m)
 
 (* ------------------------------------------------------------------ *)
 (* Records.                                                            *)
@@ -230,118 +277,251 @@ let parse_entry (tag : char) (rest : string) : entry option =
      | _ -> None)
   | _ -> None
 
+(* The one line decoder: a scan over a store file's lines, one line at
+   a time, in file order.  [read] runs it from byte 0 (every [load] and
+   every rebuild) or from where the previous read stopped.  Mutable for
+   speed; a reader judges an unterminated last line on a copy so the
+   line is read again, whole, once its newline lands. *)
+type scan = {
+  s_path : string;
+  s_version : int;
+  mutable s_lineno : int;            (* 0-based number of the next line *)
+  mutable s_in_journal : bool;
+  mutable s_torn : int;
+  mutable s_err : string option;
+  mutable s_fingerprint : string option;
+  mutable s_meta : (string * string) list;  (* reversed *)
+  mutable s_tasks : (int * string) list;    (* (index, label), reversed *)
+}
+
+let fresh_scan path text =
+  let first =
+    match String.index_opt text '\n' with
+    | Some i -> String.sub text 0 i
+    | None -> text
+  in
+  { s_path = path;
+    s_version = (if first = "# " ^ header_v2 then 2 else 1);
+    s_lineno = 0; s_in_journal = false; s_torn = 0; s_err = None;
+    s_fingerprint = None; s_meta = []; s_tasks = [] }
+
+(* Advance [s] over one line (without its newline); the journal entry
+   the line holds, if it holds a valid one. *)
+let scan_line (s : scan) (line : string) : entry option =
+  let lineno = s.s_lineno in
+  s.s_lineno <- lineno + 1;
+  let fail msg =
+    s.s_err <- Some (Printf.sprintf "%s: line %d: %s" s.s_path (lineno + 1) msg)
+  in
+  let torn () = s.s_torn <- s.s_torn + 1 in
+  let expected_header =
+    "# " ^ (if s.s_version >= 2 then header_v2 else header)
+  in
+  let journal_tag c =
+    c = 'o' || (s.s_version >= 2 && (c = 'l' || c = 'h' || c = 'r'))
+  in
+  if s.s_err <> None then None
+  else if line <> "" && (lineno > 0 || line = expected_header) then
+    match line.[0] with
+    | '#' -> None
+    | c when journal_tag c ->
+      s.s_in_journal <- true;
+      (* the journal is where torn writes live.  v1 files have one
+         writer, so a record that fails its checksum (or was cut short)
+         is dropped along with everything after it — a tear mid-file
+         means the file is not append-only and nothing downstream can
+         be trusted.  v2 files have many [O_APPEND] writers, each
+         prefixing its record with a newline: a peer killed
+         mid-write(2) leaves a damaged record in the MIDDLE of the file
+         while later appends are intact, so v2 drops bad records
+         individually — each one still vouched for (or condemned) by
+         its own checksum. *)
+      if s.s_version < 2 && s.s_torn > 0 then (torn (); None)
+      else (
+        match parse_record line with
+        | Some (tag, rest) ->
+          (match parse_entry tag rest with
+           | Some _ as e -> e
+           | None -> torn (); None)
+        | None -> torn (); None)
+    | _ when s.s_in_journal ->
+      (* junk after the journal started: same torn-record treatment *)
+      torn ();
+      None
+    | 'f' ->
+      (match split_once ' ' line with
+       | Some ("f", fp) when s.s_fingerprint = None ->
+         s.s_fingerprint <- Some fp
+       | _ -> fail "malformed fingerprint record");
+      None
+    | 'm' ->
+      (match parse_record line with
+       | Some ('m', rest) ->
+         (match split_once ' ' rest with
+          | Some (k, v) ->
+            (match unescape v with
+             | Ok v -> s.s_meta <- (k, v) :: s.s_meta
+             | Error e -> fail e)
+          | None -> fail "malformed manifest record")
+       | _ -> fail "manifest record failed its checksum");
+      None
+    | 't' ->
+      (match parse_record line with
+       | Some ('t', rest) ->
+         (match split_once ' ' rest with
+          | Some (i, v) ->
+            (match (int_of_string_opt i, unescape v) with
+             | Some i, Ok v -> s.s_tasks <- (i, v) :: s.s_tasks
+             | _ -> fail "malformed task record")
+          | None -> fail "malformed task record")
+       | _ -> fail "task record failed its checksum");
+      None
+    | _ ->
+      fail (Printf.sprintf "unknown record %S" line);
+      None
+  else begin
+    if lineno = 0 then
+      fail (Printf.sprintf "expected header %S" expected_header);
+    None
+  end
+
+let manifest_of (s : scan) : (manifest, string) result =
+  match (s.s_err, s.s_fingerprint) with
+  | Some e, _ -> Error e
+  | None, None -> Error (s.s_path ^ ": missing fingerprint record")
+  | None, Some fp ->
+    (* task records carry their index so order on disk is free; sort
+       back into task order *)
+    let tasks =
+      List.sort (fun (a, _) (b, _) -> compare a b) (List.rev s.s_tasks)
+      |> List.map snd
+    in
+    Ok { fingerprint = fp; meta = List.rev s.s_meta; tasks }
+
+(* ------------------------------------------------------------------ *)
+(* Incremental reading.                                                *)
+
+(* where the next read goes on from: the file read, the offset just
+   past the last '\n' consumed, the scan after that line, and the
+   manifest *)
+type resume = {
+  at_file : int * int;  (* st_dev, st_ino *)
+  at_offset : int;
+  at_scan : scan;
+  at_manifest : manifest;
+}
+
+type reader = { r_path : string; mutable r_resume : resume option }
+
+type delta = {
+  d_reset : bool;
+  d_manifest : manifest;
+  d_version : int;
+  d_entries : entry list;
+  d_tail : entry option;
+  d_torn : int;
+}
+
+let reader ~path = { r_path = path; r_resume = None }
+
+(* The bytes of [fd] from [from] to [size], with plain read(2)s: a
+   channel would allocate its 64 KiB buffer on every poll. *)
+let read_range fd ~from ~size =
+  let buf = Bytes.create (max 0 (size - from)) in
+  ignore (Unix.lseek fd from Unix.SEEK_SET);
+  let rec fill off =
+    if off >= Bytes.length buf then off
+    else
+      match Unix.read fd buf off (Bytes.length buf - off) with
+      | 0 -> off
+      | n -> fill (off + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill off
+  in
+  let n = fill 0 in
+  if n = Bytes.length buf then Bytes.unsafe_to_string buf
+  else Bytes.sub_string buf 0 n
+
+let read_delta (r : reader) : (delta, string) result =
+  let fd = Unix.openfile r.r_path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let st = Unix.fstat fd in
+  let file = (st.Unix.st_dev, st.Unix.st_ino) in
+  (* go on from the offset only when it is the same file, still at
+     least as long, and past its manifest (so new lines can only be
+     journal lines); otherwise rebuild from byte 0 *)
+  let resume =
+    match r.r_resume with
+    | Some at
+      when at.at_scan.s_in_journal && at.at_file = file
+           && st.Unix.st_size >= at.at_offset ->
+      Some at
+    | _ -> None
+  in
+  let from = match resume with Some at -> at.at_offset | None -> 0 in
+  (* up to the size just seen: bytes appended since are the next
+     read's *)
+  let text = read_range fd ~from ~size:st.Unix.st_size in
+  let s =
+    match resume with Some at -> at.at_scan | None -> fresh_scan r.r_path text
+  in
+  (* [s] is advanced in place: until this read succeeds, the reader
+     has nothing to go on from *)
+  r.r_resume <- None;
+  let rec consume pos acc =
+    match String.index_from_opt text pos '\n' with
+    | None -> (pos, acc)
+    | Some nl ->
+      let acc =
+        match scan_line s (String.sub text pos (nl - pos)) with
+        | Some e -> e :: acc
+        | None -> acc
+      in
+      consume (nl + 1) acc
+  in
+  let stop, rev_entries = consume 0 [] in
+  (* whatever follows the last newline — possibly "" — is judged as
+     [load] judges a file's last line, on a copy of the scan *)
+  let last = { s with s_lineno = s.s_lineno } in
+  let tail =
+    scan_line last (String.sub text stop (String.length text - stop))
+  in
+  let manifest =
+    match resume with
+    | Some at -> Ok at.at_manifest  (* past the manifest: it cannot change *)
+    | None -> manifest_of last
+  in
+  Result.map
+    (fun m ->
+       (* only a scan past the manifest can be gone on from *)
+       if s.s_in_journal then
+         r.r_resume <-
+           Some { at_file = file; at_offset = from + stop; at_scan = s;
+                  at_manifest = m };
+       { d_reset = Option.is_none resume;
+         d_manifest = m;
+         d_version = s.s_version;
+         d_entries = List.rev rev_entries;
+         d_tail = tail;
+         d_torn = last.s_torn })
+    manifest
+
+let read r =
+  try read_delta r with
+  | Unix.Unix_error (e, _, _) -> Error (r.r_path ^ ": " ^ Unix.error_message e)
+
 let load ~path : (loaded, string) result =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error m -> Error m
-  | text ->
-    let lines = String.split_on_char '\n' text in
-    (* a file ending in '\n' splits into a trailing "" — harmless, the
-       blank-line filter below drops it; a file NOT ending in '\n' has
-       its (possibly torn) final line carried as-is, and the checksum
-       decides its fate *)
-    let version =
-      match lines with
-      | first :: _ when first = "# " ^ header_v2 -> 2
-      | _ -> 1
-    in
-    let journal_tag c = c = 'o' || (version >= 2 && (c = 'l' || c = 'h' || c = 'r')) in
-    let err = ref None in
-    let fingerprint = ref None in
-    let meta = ref [] in
-    let tasks = ref [] in       (* (index, label) *)
-    let entries = ref [] in
-    let torn = ref 0 in
-    let in_journal = ref false in
-    let fail lineno msg =
-      if !err = None then
-        err := Some (Printf.sprintf "%s: line %d: %s" path (lineno + 1) msg)
-    in
-    let int_field rest k =
-      match split_once ' ' rest with
-      | Some (i, v) ->
-        (match (int_of_string_opt i, unescape v) with
-         | Some i, Ok v -> k i v
-         | _ -> None)
-      | None -> None
-    in
-    let expected_header = "# " ^ (if version >= 2 then header_v2 else header) in
-    List.iteri
-      (fun lineno line ->
-         if !err = None && line <> "" && (lineno > 0 || line = expected_header)
-         then
-           match line.[0] with
-           | '#' -> ()
-           | c when journal_tag c ->
-             in_journal := true;
-             (* the journal is where torn writes live.  v1 files have
-                one writer, so a record that fails its checksum (or was
-                cut short) is dropped along with everything after it — a
-                tear mid-file means the file is not append-only and
-                nothing downstream can be trusted.  v2 files have many
-                [O_APPEND] writers, each prefixing its record with a
-                newline: a peer killed mid-write(2) leaves a damaged
-                record in the MIDDLE of the file while later appends are
-                intact, so v2 drops bad records individually — each one
-                still vouched for (or condemned) by its own checksum. *)
-             if version < 2 && !torn > 0 then incr torn
-             else
-               (match parse_record line with
-                | Some (tag, rest) ->
-                  (match parse_entry tag rest with
-                   | Some e -> entries := e :: !entries
-                   | None -> incr torn)
-                | None -> incr torn)
-           | _ when !in_journal ->
-             (* junk after the journal started: same torn-record
-                treatment *)
-             incr torn
-           | 'f' ->
-             (match split_once ' ' line with
-              | Some ("f", fp) when !fingerprint = None ->
-                fingerprint := Some fp
-              | _ -> fail lineno "malformed fingerprint record")
-           | 'm' ->
-             (match parse_record line with
-              | Some ('m', rest) ->
-                (match split_once ' ' rest with
-                 | Some (k, v) ->
-                   (match unescape v with
-                    | Ok v -> meta := (k, v) :: !meta
-                    | Error e -> fail lineno e)
-                 | None -> fail lineno "malformed manifest record")
-              | _ -> fail lineno "manifest record failed its checksum")
-           | 't' ->
-             (match parse_record line with
-              | Some ('t', rest) ->
-                (match int_field rest (fun i v -> Some (i, v)) with
-                 | Some t -> tasks := t :: !tasks
-                 | None -> fail lineno "malformed task record")
-              | _ -> fail lineno "task record failed its checksum")
-           | _ -> fail lineno (Printf.sprintf "unknown record %S" line)
-         else if !err = None && lineno = 0 && line <> expected_header then
-           fail lineno
-             (Printf.sprintf "expected header %S" expected_header))
-      lines;
-    (match (!err, !fingerprint) with
-     | Some e, _ -> Error e
-     | None, None -> Error (path ^ ": missing fingerprint record")
-     | None, Some fp ->
-       let tasks =
-         (* task records carry their index so order on disk is free;
-            sort back into task order *)
-         List.sort (fun (a, _) (b, _) -> compare a b) (List.rev !tasks)
-         |> List.map snd
-       in
-       let entries = List.rev !entries in
-       Ok
-         { l_manifest =
-             { fingerprint = fp; meta = List.rev !meta; tasks };
-           l_version = version;
-           l_entries = entries;
-           l_outcomes =
-             List.filter_map
-               (function
-                 | Outcome { index; payload } -> Some (index, payload)
-                 | Lease _ | Heartbeat _ | Release _ -> None)
-               entries;
-           l_torn = !torn })
+  match read (reader ~path) with
+  | Error e -> Error e
+  | Ok d ->
+    let entries = d.d_entries @ Option.to_list d.d_tail in
+    Ok
+      { l_manifest = d.d_manifest;
+        l_version = d.d_version;
+        l_entries = entries;
+        l_outcomes =
+          List.filter_map
+            (function
+              | Outcome { index; payload } -> Some (index, payload)
+              | Lease _ | Heartbeat _ | Release _ -> None)
+            entries;
+        l_torn = d.d_torn }

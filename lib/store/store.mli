@@ -60,6 +60,14 @@ val fnv64 : string -> int64
 (** Lower-case 16-hex-digit rendering of {!fnv64}. *)
 val hash_hex : string -> string
 
+(** Lower-case hex, two digits per byte ([""] for [""]) — the one hex
+    codec of the outcome journal and the snapshot wire form. *)
+val to_hex : string -> string
+
+(** Inverse of {!to_hex}: [None] unless the input is an even number of
+    lower-case hex digits. *)
+val of_hex : string -> string option
+
 (** Digest of an ordered list of parts (length-prefixed, so part
     boundaries matter: [["ab";"c"] <> ["a";"bc"]]). *)
 val fingerprint : string list -> string
@@ -166,3 +174,47 @@ type loaded = {
     an atomic checkpoint, so damage there is real corruption, not a
     torn append). *)
 val load : path:string -> (loaded, string) result
+
+(** {1 Reading incrementally}
+
+    A [reader] reads a store file the way {!load} does, but remembers
+    how far it got: each {!read} decodes only the lines appended since
+    the previous one, so a process that polls a growing journal pays
+    for the new bytes, not for the file.  {!load} is one {!read} on a
+    fresh reader — the same line decoder, the same verdicts.
+
+    Only newline-terminated lines are consumed.  Whatever follows the
+    last newline (a record still being written, or one a killed writer
+    tore) is judged exactly as {!load} judges a file's last line and
+    reported in {!delta.d_tail}, but it is read again next time, whole
+    once its newline has landed.
+
+    A read goes on from where the previous one stopped only if [path]
+    still names the same file (device and inode), the file is at least
+    as long as what was read, and the journal section had started;
+    otherwise it rebuilds from byte 0 and says so ({!delta.d_reset}).
+    A checkpoint replaces the file by an atomic rename, so it always
+    forces a rebuild.  A reader is mutable and belongs to one domain. *)
+
+type reader
+
+(** A reader of [path] that has read nothing yet. *)
+val reader : path:string -> reader
+
+type delta = {
+  d_reset : bool;
+      (** this read started at byte 0: drop whatever was built from
+          earlier reads before taking [d_entries] *)
+  d_manifest : manifest;
+  d_version : int;
+  d_entries : entry list;
+      (** valid entries on the newly consumed lines, file order *)
+  d_tail : entry option;
+      (** the entry on an unterminated last line, if {!load} would
+          take it; not consumed *)
+  d_torn : int;  (** {!loaded.l_torn} of the whole file as read *)
+}
+
+(** Read what was appended since the previous read.  [Error] as for
+    {!load}; the next read after an error rebuilds from byte 0. *)
+val read : reader -> (delta, string) result

@@ -144,6 +144,79 @@ let test_arbitration_first_record_wins () =
   | _ -> Alcotest.fail "expected the first record in file order to win"
 
 (* ------------------------------------------------------------------ *)
+(* Cursors: the incremental fold equals the full fold.                 *)
+
+(* One random v2 journal, grown one step at a time: lease, heartbeat,
+   release and outcome records from three owners (stale epochs and
+   duplicate outcomes included), records torn at a random byte and
+   left for the next append's leading newline to terminate, and (once
+   per case, sometimes) a checkpoint that replaces the file.  After
+   every refresh at a random point, the long-lived cursor must see
+   exactly what a fresh [Q.load] of the same bytes sees. *)
+let cursor_matches_load seed =
+  with_tmp @@ fun path ->
+  let rand = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int rand (List.length l)) in
+  let int k = Random.State.int rand k in
+  let n = 1 + int 4 in
+  mk_queue ~path n;
+  let manifest =
+    match Store.load ~path with
+    | Ok l -> l.Store.l_manifest
+    | Error e -> Alcotest.fail e
+  in
+  let entry () =
+    let owner = pick [ "a"; "b"; "c" ] and index = int (n + 1) in
+    match int 4 with
+    | 0 -> Store.Lease { index; owner; epoch = int 4; deadline_us = int 100 }
+    | 1 -> Store.Heartbeat { owner; deadline_us = int 100 }
+    | 2 -> Store.Release { index; owner; epoch = int 4 }
+    | _ -> Store.Outcome { index; payload = pick [ "x"; "two words"; "a\nb" ] }
+  in
+  let append_raw s =
+    let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+    output_string oc s;
+    close_out oc
+  in
+  let c = Q.cursor ~path in
+  let checkpointed = ref (int 2 = 0) in
+  let agree = ref true in
+  for _ = 1 to 30 do
+    match int 10 with
+    | 0 | 1 | 2 | 3 -> Q.append ~path (entry ())
+    | 4 ->
+      (* a writer killed mid-write(2): its record lacks the newline
+         and maybe more; the cut just before the newline leaves a
+         valid record on an unterminated last line *)
+      let line = Store.entry_line (entry ()) in
+      let len = String.length line in
+      let cut = if int 3 = 0 then len - 1 else int len in
+      append_raw ("\n" ^ String.sub line 0 cut)
+    | 5 when not !checkpointed ->
+      checkpointed := true;
+      Store.close
+        (Store.checkpoint_entries ~path manifest
+           (List.init (int 4) (fun _ -> entry ())))
+    | _ ->
+      (match (Q.refresh c, Q.load ~path) with
+       | Ok (), Ok full ->
+         let v = Q.view c in
+         agree :=
+           !agree
+           && v.Q.states = full.Q.states
+           && v.Q.expired_owners = full.Q.expired_owners
+           && v.Q.torn = full.Q.torn
+           && v.Q.manifest = full.Q.manifest
+       | Error e, _ | _, Error e -> Alcotest.fail e)
+  done;
+  !agree
+
+let cursor_prop =
+  QCheck.Test.make ~count:300
+    ~name:"cursor refreshes fold to the same view as a full load"
+    QCheck.int cursor_matches_load
+
+(* ------------------------------------------------------------------ *)
 (* Worker loop (in-process, deterministic clock).                      *)
 
 let test_worker_runs_each_task_once () =
@@ -416,4 +489,5 @@ let tests =
       test_service_fingerprint_mismatch;
     Alcotest.test_case "killer tasks escalate to quarantine" `Quick
       test_service_escalation;
+    QCheck_alcotest.to_alcotest cursor_prop;
     QCheck_alcotest.to_alcotest kill_anywhere_prop ]

@@ -44,12 +44,32 @@ let find_sub hay needle =
 (* ------------------------------------------------------------------ *)
 (* Hashing and escaping primitives.                                    *)
 
-(* FNV-1a 64 of the empty string is the offset basis — a known vector
-   pins the constants (and thus every checksum in every journal). *)
+(* FNV-1a 64 of the empty string is the offset basis — known vectors
+   pin the constants (and thus every checksum in every journal); the
+   other two are the published FNV-1a-64 test vectors. *)
 let test_fnv_known_vector () =
   check string "offset basis" "cbf29ce484222325" (Store.hash_hex "");
+  check string "fnv1a64(\"a\")" "af63dc4c8601ec8c" (Store.hash_hex "a");
+  check string "fnv1a64(\"foobar\")" "85944171f73967e8"
+    (Store.hash_hex "foobar");
   check bool "hashing is not constant" true
     (Store.hash_hex "a" <> Store.hash_hex "b")
+
+(* The one hex codec: two lower-case digits per byte, and a decoder
+   that takes exactly what the encoder writes. *)
+let test_hex_codec () =
+  let all = String.init 256 Char.chr in
+  check string "matches %02x per byte"
+    (String.concat ""
+       (List.init 256 (fun i -> Printf.sprintf "%02x" i)))
+    (Store.to_hex all);
+  check bool "round-trips every byte" true
+    (Store.of_hex (Store.to_hex all) = Some all);
+  check bool "empty round-trips" true (Store.of_hex (Store.to_hex "") = Some "");
+  List.iter
+    (fun s -> check bool (Printf.sprintf "%S rejected" s) true
+        (Store.of_hex s = None))
+    [ "5_"; "abc"; "AB"; "0g"; " 0" ]
 
 let test_escape_round_trip () =
   List.iter
@@ -336,6 +356,8 @@ let test_sync_smoke () =
 
 let tests =
   [ Alcotest.test_case "fnv-1a known vector" `Quick test_fnv_known_vector;
+    Alcotest.test_case "hex codec round-trips, rejects non-hex" `Quick
+      test_hex_codec;
     Alcotest.test_case "escape round-trips payloads" `Quick
       test_escape_round_trip;
     Alcotest.test_case "fingerprint part boundaries matter" `Quick
